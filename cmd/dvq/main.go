@@ -224,7 +224,7 @@ func runLocal(ctx context.Context, svc *core.Service, sql string, cfg config) er
 	out.Flush()
 	st := rows.Stats()
 	fmt.Fprintf(os.Stderr, "%d rows in %s (scanned %d rows, read %.1f MB, %d aligned file chunks)\n",
-		n, time.Since(start).Round(time.Millisecond),
+		n, time.Since(start).Round(time.Microsecond),
 		st.RowsScanned, float64(st.BytesRead)/1e6, st.ChunksRead)
 	if cfg.stats {
 		fmt.Fprintln(os.Stderr, indent(st.String()))
@@ -292,7 +292,7 @@ func runCluster(ctx context.Context, descPath, nodeTable, sql string, cfg config
 	out.Flush()
 	st := rows.Stats()
 	fmt.Fprintf(os.Stderr, "%d rows in %s from %d nodes\n",
-		n, time.Since(start).Round(time.Millisecond), len(coord.Nodes()))
+		n, time.Since(start).Round(time.Microsecond), len(coord.Nodes()))
 	if cfg.stats {
 		fmt.Fprintln(os.Stderr, indent(st.String()))
 	}

@@ -69,7 +69,7 @@ func RunAblationIndex(cfg Config) (*Table, error) {
 			var e error
 			stats, e = extractor.Run(afcs, resolver, extractor.Options{
 				Cols: sch.Attrs(), Pred: pred,
-			}, func(table.Row) error { rows++; return nil })
+			}, func(batch []table.Row) error { rows += int64(len(batch)); return nil })
 			return e
 		})
 		if err != nil {

@@ -224,9 +224,9 @@ func (c *Coordinator) QueryContext(ctx context.Context, sql string) (*core.Rows,
 	if err != nil {
 		return nil, err
 	}
-	return core.NewRows(ctx, prep.Cols, func(runCtx context.Context, emit func(table.Row) error) (obs.QueryStats, error) {
-		res, err := c.runPrepared(runCtx, sql, prep, storm.PartitionSpec{}, func(dest int, row table.Row) error {
-			return emit(row)
+	return core.NewRows(ctx, prep.Cols, func(runCtx context.Context, emit func([]table.Row) error) (obs.QueryStats, error) {
+		res, err := c.runPrepared(runCtx, sql, prep, storm.PartitionSpec{}, func(dest int, rows []table.Row) error {
+			return emit(rows)
 		})
 		if err != nil {
 			return obs.QueryStats{}, err
@@ -251,8 +251,9 @@ func (c *Coordinator) Query(sql string, emit func(row table.Row) error) (*Result
 // callback shim remains for push-style clients and returns the full
 // per-node Result.
 func (c *Coordinator) QueryFuncContext(ctx context.Context, sql string, emit func(row table.Row) error) (*Result, error) {
-	return c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, row table.Row) error {
-		return emit(row)
+	each := extractor.EachRow(emit)
+	return c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, rows []table.Row) error {
+		return each(rows)
 	})
 }
 
@@ -272,11 +273,16 @@ func (c *Coordinator) QueryPartitionedContext(ctx context.Context, sql string, s
 		return nil, fmt.Errorf("cluster: partition spec has %d destinations, got %d sinks",
 			spec.NumDests, len(sinks))
 	}
-	res, err := c.run(ctx, sql, spec, func(dest int, row table.Row) error {
+	res, err := c.run(ctx, sql, spec, func(dest int, rows []table.Row) error {
 		if dest < 0 || dest >= len(sinks) {
 			return fmt.Errorf("cluster: destination %d out of range", dest)
 		}
-		return sinks[dest].Send(row)
+		for _, row := range rows {
+			if err := sinks[dest].Send(row); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -300,16 +306,16 @@ func (c *Coordinator) CollectQuery(sql string) ([]table.Row, *Result, error) {
 // CollectQueryContext is CollectQuery under a context.
 func (c *Coordinator) CollectQueryContext(ctx context.Context, sql string) ([]table.Row, *Result, error) {
 	var rows []table.Row
-	res, err := c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, r table.Row) error {
-		rows = append(rows, append(table.Row(nil), r...))
+	res, err := c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, batch []table.Row) error {
+		rows = append(rows, table.CopyRows(batch)...)
 		return nil
 	})
 	return rows, res, err
 }
 
 // run parses, plans and executes sql across the cluster, delivering
-// each row with its partition destination.
-func (c *Coordinator) run(ctx context.Context, sql string, spec storm.PartitionSpec, deliver func(dest int, row table.Row) error) (*Result, error) {
+// each batch of rows with its partition destination.
+func (c *Coordinator) run(ctx context.Context, sql string, spec storm.PartitionSpec, deliver func(dest int, rows []table.Row) error) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -344,8 +350,10 @@ type legCounters struct {
 }
 
 // runPrepared fans the prepared query out to every node over the
-// session pools, merges the streams and assembles the Result.
-func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Prepared, spec storm.PartitionSpec, deliver func(dest int, row table.Row) error) (*Result, error) {
+// session pools, merges the streams and assembles the Result. Each
+// decoded 'R' frame (or failover-released staged frame) reaches
+// deliver as one batch; an aggregate's finalized groups are one batch.
+func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Prepared, spec storm.PartitionSpec, deliver func(dest int, rows []table.Row) error) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -425,11 +433,8 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		if firstErr != nil {
 			continue // drain
 		}
-		for _, r := range b.rows {
-			if err := deliver(b.dest, r); err != nil {
-				firstErr = err
-				break
-			}
+		if err := deliver(b.dest, b.rows); err != nil {
+			firstErr = err
 		}
 	}
 	var slowestExtract int64
@@ -466,8 +471,8 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 	// Aggregate queries finalize here: every leg's partials are merged,
 	// so this is the first (and only) place the complete groups exist.
 	if aggState != nil {
-		for _, row := range aggState.Finalize() {
-			if err := deliver(0, row); err != nil {
+		if rows := aggState.Finalize(); len(rows) > 0 {
+			if err := deliver(0, rows); err != nil {
 				return nil, err
 			}
 		}

@@ -42,9 +42,10 @@ type legStage struct {
 }
 
 // stagedItem is one withheld delivery: a decoded row batch (agg nil)
-// or an encoded partial-aggregate payload. Both are safe to retain —
-// the demux reader copies every frame payload and DecodeAll allocates
-// fresh rows.
+// or an encoded partial-aggregate payload. Both are safe to retain as
+// they are — the demux reader copies every frame payload, and
+// DecodeAll decodes each frame into its own freshly allocated slab,
+// which no later frame reuses.
 type stagedItem struct {
 	dest int
 	rows []table.Row

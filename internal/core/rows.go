@@ -6,12 +6,16 @@ import (
 	"time"
 
 	"datavirt/internal/obs"
+	"datavirt/internal/schema"
 	"datavirt/internal/table"
 )
 
-// rowsBuffer is the channel depth between the extraction goroutine and
-// the consumer; it decouples bursty chunk extraction from row-at-a-time
-// iteration.
+// rowsBuffer caps the rows one cursor batch carries. Producers hand
+// the cursor whole batches — an extraction block's survivors, a
+// decoded wire frame — and the cursor forwards each as one channel
+// operation, splitting only batches larger than this, so the batch
+// boundaries (and with them the time to first row) stay the
+// producer's, while the rows in flight stay bounded.
 const rowsBuffer = 256
 
 // Rows is a streaming cursor over a query's result, in the spirit of
@@ -33,10 +37,12 @@ const rowsBuffer = 256
 type Rows struct {
 	parent context.Context // the caller's ctx, to tell its cancellation from Close's
 	cancel context.CancelFunc
-	ch     chan table.Row
+	ch     chan rowBatch
 	done   chan struct{} // closed after runErr and stats are written
 
 	cols   []string
+	batch  rowBatch // the batch Next is walking
+	next   int      // index in batch of the row the next Next returns
 	cur    table.Row
 	err    error
 	closed bool
@@ -46,36 +52,55 @@ type Rows struct {
 	stats  obs.QueryStats
 }
 
-// NewRows adapts an emit-callback runner into a streaming cursor: run
-// is started on its own goroutine with an emit function that hands each
-// row to the cursor (blocking when the consumer lags), and the
-// QueryStats it returns become the cursor's Stats. The runner must
-// honour ctx cancellation — Close cancels it — and must not retain
-// rows after emit returns (the cursor copies them). This is the bridge
+// rowBatch is one handoff from producer to cursor: n rows of width
+// values each, back to back in vals — one allocation per batch.
+type rowBatch struct {
+	vals     []schema.Value
+	width, n int
+}
+
+// NewRows adapts a batch-emitting runner into a streaming cursor: run
+// is started on its own goroutine with an emit function that hands a
+// batch of rows to the cursor (blocking when the consumer lags), and
+// the QueryStats it returns become the cursor's Stats. The runner must
+// honour ctx cancellation — Close cancels it — and may reuse the rows
+// after emit returns: the cursor copies each batch into one exactly
+// sized value slab per run of equal-width rows. Runners should emit at
+// their natural boundaries (an extraction block, a wire frame) rather
+// than accumulate rows, so the first row is never held back for a row
+// count. This is the bridge
 // both the local service and the cluster coordinator use to present
 // one cursor API over push-style execution engines.
-func NewRows(ctx context.Context, cols []string, run func(ctx context.Context, emit func(table.Row) error) (obs.QueryStats, error)) *Rows {
+func NewRows(ctx context.Context, cols []string, run func(ctx context.Context, emit func([]table.Row) error) (obs.QueryStats, error)) *Rows {
 	runCtx, cancel := context.WithCancel(ctx)
 	r := &Rows{
 		parent: ctx,
 		cancel: cancel,
-		ch:     make(chan table.Row, rowsBuffer),
+		ch:     make(chan rowBatch, 1),
 		done:   make(chan struct{}),
 		cols:   cols,
 	}
 	go func() {
 		defer close(r.done)
 		defer close(r.ch)
-		stats, err := run(runCtx, func(row table.Row) error {
-			// The producer may reuse the row; the cursor hands out copies
-			// so callers may retain them.
-			cp := append(table.Row(nil), row...)
-			select {
-			case r.ch <- cp:
-				return nil
-			case <-runCtx.Done():
-				return runCtx.Err()
+		stats, err := run(runCtx, func(rows []table.Row) error {
+			for len(rows) > 0 {
+				w, n := len(rows[0]), 1
+				for n < len(rows) && n < rowsBuffer && len(rows[n]) == w {
+					n++
+				}
+				b := rowBatch{vals: make([]schema.Value, n*w), width: w, n: n}
+				for i, row := range rows[:n] {
+					copy(b.vals[i*w:], row)
+				}
+				select {
+				case r.ch <- b:
+				case <-runCtx.Done():
+					return runCtx.Err()
+				}
+				rows = rows[n:]
 			}
+			return nil
 		})
 		r.stats = stats
 		r.runErr = err
@@ -85,14 +110,15 @@ func NewRows(ctx context.Context, cols []string, run func(ctx context.Context, e
 
 // QueryContext starts the prepared query and returns a streaming
 // cursor over its rows. Extraction proceeds concurrently with
-// iteration; Close cancels whatever is still in flight.
+// iteration, each extraction block's surviving rows crossing to the
+// cursor as one batch; Close cancels whatever is still in flight.
 func (p *Prepared) QueryContext(ctx context.Context, opt Options) (*Rows, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return NewRows(ctx, p.Cols, func(runCtx context.Context, emit func(table.Row) error) (obs.QueryStats, error) {
+	return NewRows(ctx, p.Cols, func(runCtx context.Context, emit func([]table.Row) error) (obs.QueryStats, error) {
 		start := time.Now()
-		stats, err := p.RunContext(runCtx, opt, emit)
+		stats, err := p.run(runCtx, opt, emit)
 		return p.queryStats(stats, time.Since(start)), err
 	}), nil
 }
@@ -108,19 +134,27 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	row, ok := <-r.ch
-	if !ok {
-		<-r.done // runErr and stats are now visible
-		r.err = r.terminalErr()
-		r.cur = nil
-		return false
+	for r.next == r.batch.n {
+		batch, ok := <-r.ch
+		if !ok {
+			<-r.done // runErr and stats are now visible
+			r.err = r.terminalErr()
+			r.cur = nil
+			return false
+		}
+		r.batch, r.next = batch, 0
 	}
-	r.cur = row
+	// A full slice expression: appending to the row reallocates it
+	// instead of overwriting the next one.
+	lo, hi := r.next*r.batch.width, (r.next+1)*r.batch.width
+	r.cur = r.batch.vals[lo:hi:hi]
+	r.next++
 	return true
 }
 
-// Row returns the current row. It is a copy owned by the caller and
-// remains valid across subsequent Next calls.
+// Row returns the current row. It is a copy owned by the caller: it
+// remains valid across subsequent Next calls, and appending to it
+// never modifies another row.
 func (r *Rows) Row() table.Row { return r.cur }
 
 // Err returns the error that terminated iteration, if any. It is nil
@@ -137,6 +171,7 @@ func (r *Rows) Close() error {
 		return r.err
 	}
 	r.closed = true
+	r.batch, r.next = rowBatch{}, 0
 	r.cancel()
 	for range r.ch { // unblock the producer and drain
 	}

@@ -9,9 +9,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"datavirt/internal/gen"
 	"datavirt/internal/obs"
+	"datavirt/internal/schema"
 	"datavirt/internal/table"
 )
 
@@ -128,6 +130,155 @@ func TestRowsDeadline(t *testing.T) {
 	}
 	if err := rows.Err(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Err after deadline = %v", err)
+	}
+}
+
+// memRunner returns a NewRows runner that emits n rows of width cols
+// in batches of block rows, the way the extractor does: every batch
+// lives in one buffer the runner overwrites for the next batch, so a
+// cursor that failed to copy would hand out clobbered rows. The value
+// of column c of row i is i*cols+c. After the rows it returns fail.
+func memRunner(n, cols, block int, fail error) func(context.Context, func([]table.Row) error) (obs.QueryStats, error) {
+	flat := make([]schema.Value, block*cols)
+	buf := make([]table.Row, block)
+	for i := range buf {
+		buf[i] = flat[i*cols : (i+1)*cols]
+	}
+	return func(ctx context.Context, emit func([]table.Row) error) (obs.QueryStats, error) {
+		for base := 0; base < n; base += block {
+			m := min(block, n-base)
+			for i := 0; i < m; i++ {
+				for c := 0; c < cols; c++ {
+					buf[i][c] = schema.LongValue(int64((base+i)*cols + c))
+				}
+			}
+			if err := emit(buf[:m]); err != nil {
+				return obs.QueryStats{}, err
+			}
+		}
+		return obs.QueryStats{RowsEmitted: int64(n)}, fail
+	}
+}
+
+// checkRow reports whether row holds the values memRunner gives row i.
+func checkRow(row table.Row, i, cols int) bool {
+	if len(row) != cols {
+		return false
+	}
+	for c, v := range row {
+		if v.Int != int64(i*cols+c) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRowsDeliversRowsBeforeRunError has the runner emit k rows and
+// then fail: all k rows come out of Next before Err reports the
+// failure.
+func TestRowsDeliversRowsBeforeRunError(t *testing.T) {
+	boom := errors.New("boom")
+	const k = 700 // two full cursor batches and a partial one
+	rows := NewRows(context.Background(), []string{"A", "B"}, memRunner(k, 2, 300, boom))
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		if !checkRow(rows.Row(), n, 2) {
+			t.Fatalf("row %d = %v", n, rows.Row())
+		}
+		n++
+	}
+	if n != k {
+		t.Errorf("Next delivered %d rows before the error, want %d", n, k)
+	}
+	if err := rows.Err(); !errors.Is(err, boom) {
+		t.Errorf("Err = %v, want %v", err, boom)
+	}
+}
+
+// TestRowsRetainedRowsStayValid keeps every row the cursor hands out:
+// none changes as iteration moves on, and appending to one leaves the
+// next row alone.
+func TestRowsRetainedRowsStayValid(t *testing.T) {
+	const n, cols = 1000, 3
+	rows := NewRows(context.Background(), nil, memRunner(n, cols, 128, nil))
+	defer rows.Close()
+	var kept []table.Row
+	for rows.Next() {
+		if len(kept) > 0 {
+			prev := kept[len(kept)-1]
+			_ = append(prev, schema.LongValue(-1)) // must not write into this row
+			if !checkRow(rows.Row(), len(kept), cols) {
+				t.Fatalf("row %d = %v after appending to row %d", len(kept), rows.Row(), len(kept)-1)
+			}
+		}
+		kept = append(kept, rows.Row())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != n {
+		t.Fatalf("got %d rows, want %d", len(kept), n)
+	}
+	for i, row := range kept {
+		if !checkRow(row, i, cols) {
+			t.Fatalf("retained row %d = %v", i, row)
+		}
+	}
+}
+
+// TestRowsCloseMidBatch closes the cursor part-way through a batch of
+// an endless runner: Close returns cleanly and the runner's goroutine
+// exits.
+func TestRowsCloseMidBatch(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rows := NewRows(context.Background(), nil, memRunner(1<<30, 2, rowsBuffer, nil))
+	for i := 0; i < rowsBuffer+rowsBuffer/2 && rows.Next(); i++ {
+	}
+	if err := rows.Close(); err != nil {
+		t.Errorf("Close mid-batch: %v", err)
+	}
+	if rows.Next() {
+		t.Error("Next true after Close")
+	}
+	if rows.Stats() == nil {
+		t.Error("Stats nil after Close")
+	}
+	assertNoGoroutineLeak(t, before)
+}
+
+// TestRowsHandoffAllocs gates the cursor's handoff cost: draining a
+// 4,096-row in-memory runner through NewRows, set-up included, may
+// allocate at most once per 64 rows.
+func TestRowsHandoffAllocs(t *testing.T) {
+	const n = 4096
+	run := memRunner(n, 4, 512, nil)
+	allocs := testing.AllocsPerRun(20, func() {
+		rows := NewRows(context.Background(), nil, run)
+		for rows.Next() {
+		}
+		rows.Close()
+	})
+	if limit := float64(n / 64); allocs > limit {
+		t.Errorf("cursor allocated %.0f times for %d rows, want at most %.0f (1 per 64 rows)", allocs, n, limit)
+	}
+}
+
+// BenchmarkRowsCursor measures the cursor handoff alone: a 4,096-row,
+// 4-column in-memory runner drained through NewRows, emitting in
+// 512-row blocks like the extractor.
+func BenchmarkRowsCursor(b *testing.B) {
+	const n, cols = 4096, 4
+	run := memRunner(n, cols, 512, nil)
+	b.ReportAllocs()
+	b.SetBytes(int64(n * cols * int(unsafe.Sizeof(schema.Value{}))))
+	for i := 0; i < b.N; i++ {
+		rows := NewRows(context.Background(), nil, run)
+		for rows.Next() {
+		}
+		if err := rows.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -514,12 +514,19 @@ func (p *Prepared) Run(opt Options, emit func(row table.Row) error) (extractor.S
 }
 
 // RunContext executes the prepared query, emitting projected rows
-// under the reuse contract of extractor.EmitFunc (the slice is reused;
-// copy to retain). Cancelling ctx stops extraction between block reads
-// and returns the context's error; the extract and filter stages are
-// reported to the context's obs.Tracer. For a streaming cursor over
-// the same execution, use QueryContext.
+// one at a time under the reuse contract of extractor.EmitFunc (the
+// slice is reused; copy to retain). Cancelling ctx stops extraction
+// between block reads and returns the context's error; the extract and
+// filter stages are reported to the context's obs.Tracer. For a
+// streaming cursor over the same execution, use QueryContext.
 func (p *Prepared) RunContext(ctx context.Context, opt Options, emit func(row table.Row) error) (extractor.Stats, error) {
+	return p.run(ctx, opt, extractor.EachRow(emit))
+}
+
+// run executes the prepared query, emitting each extraction block's
+// projected survivors as one batch (aggregate queries: the finalized
+// groups as one batch) under the reuse contract of extractor.EmitFunc.
+func (p *Prepared) run(ctx context.Context, opt Options, emit extractor.EmitFunc) (extractor.Stats, error) {
 	if err := opt.Validate(); err != nil {
 		return extractor.Stats{}, err
 	}
@@ -530,22 +537,33 @@ func (p *Prepared) RunContext(ctx context.Context, opt Options, emit func(row ta
 		if err != nil {
 			return stats, err
 		}
-		for _, row := range state.Finalize() {
-			if err := emit(row); err != nil {
-				return stats, err
-			}
+		if rows := state.Finalize(); len(rows) > 0 {
+			return stats, emit(rows)
 		}
 		return stats, nil
 	}
 	afcs := p.execAFCs(opt)
 	inner := emit
 	if !p.identityProjection() {
-		out := make(table.Row, len(p.Cols))
-		inner = func(row table.Row) error {
-			for i, wi := range p.project {
-				out[i] = row[wi]
+		// Project whole blocks into reused output rows.
+		var flat []schema.Value
+		var out []table.Row
+		w := len(p.project)
+		inner = func(rows []table.Row) error {
+			if len(out) < len(rows) {
+				flat = make([]schema.Value, len(rows)*w)
+				out = make([]table.Row, len(rows))
+				for i := range out {
+					out[i] = flat[i*w : (i+1)*w : (i+1)*w]
+				}
 			}
-			return emit(out)
+			for r, row := range rows {
+				dst := out[r]
+				for i, wi := range p.project {
+					dst[i] = row[wi]
+				}
+			}
+			return emit(out[:len(rows)])
 		}
 	}
 	tracer := obs.TracerFrom(ctx)
@@ -732,8 +750,8 @@ func (p *Prepared) Collect(opt Options) ([]table.Row, extractor.Stats, error) {
 // Rows cursor, which does not materialize the result set.
 func (p *Prepared) CollectContext(ctx context.Context, opt Options) ([]table.Row, extractor.Stats, error) {
 	var rows []table.Row
-	stats, err := p.RunContext(ctx, opt, func(r table.Row) error {
-		rows = append(rows, append(table.Row(nil), r...))
+	stats, err := p.run(ctx, opt, func(batch []table.Row) error {
+		rows = append(rows, table.CopyRows(batch)...)
 		return nil
 	})
 	return rows, stats, err

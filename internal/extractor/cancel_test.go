@@ -24,10 +24,10 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var n int64
-	_, err = RunContext(ctx, afcs, nodeResolver(root), opt, func(table.Row) error {
+	_, err = RunContext(ctx, afcs, nodeResolver(root), opt, EachRow(func(table.Row) error {
 		n++
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run: err = %v", err)
 	}
@@ -40,13 +40,13 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	n = 0
-	_, err = RunContext(ctx, afcs, nodeResolver(root), opt, func(table.Row) error {
+	_, err = RunContext(ctx, afcs, nodeResolver(root), opt, EachRow(func(table.Row) error {
 		n++
 		if n == 10 {
 			cancel()
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-stream cancel: err = %v", err)
 	}
@@ -72,13 +72,13 @@ func TestRunParallelContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var n int64
-	_, err = RunParallelContext(ctx, afcs, nodeResolver(root), opt, func(table.Row) error {
+	_, err = RunParallelContext(ctx, afcs, nodeResolver(root), opt, EachRow(func(table.Row) error {
 		n++
 		if n == 10 {
 			cancel()
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel cancel: err = %v", err)
 	}
@@ -103,7 +103,7 @@ func TestRunParallelContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	_, err = RunParallelContext(ctx, afcs, nodeResolver(root),
-		Options{Cols: p.Schema.Attrs(), Workers: 4}, func(table.Row) error { return nil })
+		Options{Cols: p.Schema.Attrs(), Workers: 4}, EachRow(func(table.Row) error { return nil }))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v", err)
 	}
@@ -117,7 +117,7 @@ func TestFilterTimeRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
-		func(table.Row) error { time.Sleep(10 * time.Microsecond); return nil })
+		EachRow(func(table.Row) error { time.Sleep(10 * time.Microsecond); return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,16 +137,32 @@ func (s *Stats) Add(o Stats) {
 	s.AggPartialGroups += o.AggPartialGroups
 }
 
-// EmitFunc receives each surviving row.
+// EmitFunc receives the surviving rows of one extraction block (one
+// call per block with at least one survivor), so consumers such as the
+// core.Rows cursor hand rows across at the producer's natural batch
+// boundary. EachRow adapts a per-row callback.
 //
 // Row reuse contract (the one canonical statement; every emitting API
 // in this module — extractor.Run*, core.Prepared.Run*, the cluster
 // coordinator's emit callbacks, and storm.Sink.Send — follows it): the
-// row slice and its backing array are owned by the extractor and
-// reused for the next row; an implementation that retains a row beyond
-// the call must copy it (append(table.Row(nil), row...)). The
+// batch, its row slices and their backing arrays are owned by the
+// producer and reused for the next block; an implementation that
+// retains rows beyond the call must copy them (table.CopyRows). The
 // core.Rows cursor performs this copy for its caller.
-type EmitFunc func(row table.Row) error
+type EmitFunc func(rows []table.Row) error
+
+// EachRow adapts a per-row callback to an EmitFunc: fn sees the rows
+// of each batch in order, and its first error stops the run.
+func EachRow(fn func(row table.Row) error) EmitFunc {
+	return func(rows []table.Row) error {
+		for _, row := range rows {
+			if err := fn(row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // Options configure an extraction run. Rows are delivered under the
 // reuse contract documented on EmitFunc.
@@ -307,9 +323,9 @@ func Run(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, 
 	return RunContext(context.Background(), afcs, resolver, opt, emit)
 }
 
-// RunContext extracts the AFCs sequentially, calling emit for each
-// surviving row, and returns run statistics. Cancelling ctx stops the
-// run between block reads; the context's error is returned.
+// RunContext extracts the AFCs sequentially, calling emit with each
+// block's surviving rows, and returns run statistics. Cancelling ctx
+// stops the run between block reads; the context's error is returned.
 func RunContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
 	src, done := runSource(opt)
 	defer done()
@@ -331,9 +347,10 @@ func RunParallel(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) 
 	return RunParallelContext(context.Background(), afcs, resolver, opt, emit)
 }
 
-// RunParallelContext extracts AFCs with a bounded worker pool. Rows are
-// delivered to emit from a single collector goroutine, so emit needs no
-// locking; row order across AFCs is unspecified (as in the paper's
+// RunParallelContext extracts AFCs with a bounded worker pool. Each
+// worker copies its blocks' survivors; the batches are delivered to
+// emit from a single collector goroutine, so emit needs no locking;
+// row order across AFCs is unspecified (as in the paper's
 // middleware, which partitions and ships tuples as they are produced).
 // Cancelling ctx stops the feeder and every worker between block reads;
 // all goroutines have exited by the time the call returns.
@@ -353,8 +370,8 @@ func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, 
 	defer srcDone()
 
 	type batch struct {
-		rows  []table.Row
-		stats Stats
+		blocks [][]table.Row
+		stats  Stats
 	}
 	work := make(chan *afc.AFC)
 	results := make(chan batch, workers)
@@ -378,8 +395,8 @@ func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, 
 			defer pool.release()
 			for a := range work {
 				var b batch
-				collect := func(r table.Row) error {
-					b.rows = append(b.rows, append(table.Row(nil), r...))
+				collect := func(rows []table.Row) error {
+					b.blocks = append(b.blocks, table.CopyRows(rows))
 					return nil
 				}
 				if err := extractOne(ctx, a, pool, opt, bb, &b.stats, nil, collect); err != nil {
@@ -426,8 +443,8 @@ func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, 
 		if emitErr != nil {
 			continue // drain
 		}
-		for _, r := range b.rows {
-			if err := emit(r); err != nil {
+		for _, rows := range b.blocks {
+			if err := emit(rows); err != nil {
 				emitErr = err
 				fail(err)
 				break
@@ -726,16 +743,17 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 				stats.AggNS += time.Since(aggStart).Nanoseconds()
 				continue
 			}
+			if len(sel) == 0 {
+				continue
+			}
 			emitStart := time.Now()
 			rows := bb.rows[:len(sel)]
 			gatherRows(rows, &bb.batch, sel, opt.Cols)
-			for r := range rows {
-				if err := emit(rows[r]); err != nil {
-					stats.FilterNS += time.Since(emitStart).Nanoseconds()
-					return err
-				}
-			}
+			err := emit(rows)
 			stats.FilterNS += time.Since(emitStart).Nanoseconds()
+			if err != nil {
+				return err
+			}
 			continue
 		}
 
@@ -770,9 +788,13 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			}
 		}
 
+		// Survivors are compacted to the front of the block by swapping
+		// row headers (each still owns its own slice of bb.flat), then
+		// emitted as one batch.
 		filterStart := time.Now()
 		aggNS0 := stats.AggNS
-		for r := int64(0); r < n; r++ {
+		kept := 0
+		for r := range rows {
 			if pred != nil && !pred(rows[r]) {
 				continue
 			}
@@ -783,13 +805,18 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 				stats.AggNS += time.Since(aggStart).Nanoseconds()
 				continue
 			}
-			if err := emit(rows[r]); err != nil {
-				stats.FilterNS += time.Since(filterStart).Nanoseconds()
-				return err
-			}
+			rows[kept], rows[r] = rows[r], rows[kept]
+			kept++
+		}
+		var err error
+		if kept > 0 {
+			err = emit(rows[:kept])
 		}
 		// Aggregation time is attributed to its own stage, not filter.
 		stats.FilterNS += time.Since(filterStart).Nanoseconds() - (stats.AggNS - aggNS0)
+		if err != nil {
+			return err
+		}
 	}
 	for _, s := range a.Segments {
 		if s.RowStride == 0 {

@@ -143,9 +143,9 @@ func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]f
 	var stats Stats
 	if parallel {
 		opt.Workers = 4
-		stats, err = RunParallel(afcs, nodeResolver(root), opt, emit)
+		stats, err = RunParallel(afcs, nodeResolver(root), opt, EachRow(emit))
 	} else {
-		stats, err = Run(afcs, nodeResolver(root), opt, emit)
+		stats, err = Run(afcs, nodeResolver(root), opt, EachRow(emit))
 	}
 	if err != nil {
 		t.Fatalf("extract: %v", err)
@@ -333,13 +333,13 @@ func TestTruncatedFileError(t *testing.T) {
 	}
 	var work []schema.Attribute
 	work = append(work, p.Schema.Attrs()...)
-	_, err = Run(afcs, nodeResolver(root), Options{Cols: work}, func(table.Row) error { return nil })
+	_, err = Run(afcs, nodeResolver(root), Options{Cols: work}, EachRow(func(table.Row) error { return nil }))
 	if err == nil || !strings.Contains(err.Error(), "shorter than layout requires") {
 		t.Errorf("truncated file: err = %v", err)
 	}
 	// Parallel run surfaces the same failure.
 	_, err = RunParallel(afcs, nodeResolver(root), Options{Cols: work, Workers: 4},
-		func(table.Row) error { return nil })
+		EachRow(func(table.Row) error { return nil }))
 	if err == nil {
 		t.Error("parallel run ignored truncated file")
 	}
@@ -356,7 +356,7 @@ func TestMissingFileError(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
-		func(table.Row) error { return nil })
+		EachRow(func(table.Row) error { return nil }))
 	if err == nil {
 		t.Error("missing file not reported")
 	}
@@ -372,26 +372,26 @@ func TestEmitError(t *testing.T) {
 	boom := fmt.Errorf("sink full")
 	n := 0
 	_, err = Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
-		func(table.Row) error {
+		EachRow(func(table.Row) error {
 			n++
 			if n > 10 {
 				return boom
 			}
 			return nil
-		})
+		}))
 	if err != boom {
 		t.Errorf("emit error not propagated: %v", err)
 	}
 	// Parallel: emit errors stop the run promptly.
 	n = 0
 	_, err = RunParallel(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Workers: 4},
-		func(table.Row) error {
+		EachRow(func(table.Row) error {
 			n++
 			if n > 10 {
 				return boom
 			}
 			return nil
-		})
+		}))
 	if err != boom {
 		t.Errorf("parallel emit error: %v", err)
 	}
@@ -404,7 +404,7 @@ func TestBindErrors(t *testing.T) {
 	}}
 	_, err := Run([]afc.AFC{a}, DirResolver("/nonexistent"),
 		Options{Cols: []schema.Attribute{{Name: "B", Kind: schema.Float}}},
-		func(table.Row) error { return nil })
+		EachRow(func(table.Row) error { return nil }))
 	if err == nil || !strings.Contains(err.Error(), "no source for attribute") {
 		t.Errorf("bind error = %v", err)
 	}
@@ -423,11 +423,11 @@ func TestSmallBlockSizes(t *testing.T) {
 	}
 	var rowsBig, rowsSmall int64
 	if _, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
-		func(table.Row) error { rowsBig++; return nil }); err != nil {
+		EachRow(func(table.Row) error { rowsBig++; return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), BlockBytes: 16},
-		func(table.Row) error { rowsSmall++; return nil }); err != nil {
+		EachRow(func(table.Row) error { rowsSmall++; return nil })); err != nil {
 		t.Fatal(err)
 	}
 	if rowsBig != rowsSmall || rowsBig == 0 {
@@ -492,7 +492,7 @@ func TestHandleReuseAcrossAFCs(t *testing.T) {
 	defer src.Close()
 	var rows int64
 	_, err = Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Source: src},
-		func(table.Row) error { rows++; return nil })
+		EachRow(func(table.Row) error { rows++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,14 +532,14 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	opt := Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c}
 	collect := func() ([][]float64, Stats) {
 		var rows [][]float64
-		stats, err := Run(afcs, nodeResolver(root), opt, func(r table.Row) error {
+		stats, err := Run(afcs, nodeResolver(root), opt, EachRow(func(r table.Row) error {
 			out := make([]float64, len(r))
 			for i := range r {
 				out[i] = r[i].AsFloat()
 			}
 			rows = append(rows, out)
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +563,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	// Parallel through the same shared cache agrees too.
 	opt.Workers = 4
 	var rows int64
-	pstats, err := RunParallel(afcs, nodeResolver(root), opt, func(table.Row) error { rows++; return nil })
+	pstats, err := RunParallel(afcs, nodeResolver(root), opt, EachRow(func(table.Row) error { rows++; return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,14 +602,14 @@ func TestMmapRefusalFallsBackToPread(t *testing.T) {
 	defer c.Close()
 	var rows [][]float64
 	stats, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c},
-		func(r table.Row) error {
+		EachRow(func(r table.Row) error {
 			out := make([]float64, len(r))
 			for i := range r {
 				out[i] = r[i].AsFloat()
 			}
 			rows = append(rows, out)
 			return nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

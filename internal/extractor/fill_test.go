@@ -62,10 +62,10 @@ func TestFillColumnAllKindsBothOrders(t *testing.T) {
 		a, attrs := allKindsAFC(t, dir, big, 7)
 		var got []table.Row
 		_, err := Run([]afc.AFC{a}, DirResolver(dir), Options{Cols: attrs},
-			func(r table.Row) error {
+			EachRow(func(r table.Row) error {
 				got = append(got, append(table.Row(nil), r...))
 				return nil
-			})
+			}))
 		if err != nil {
 			t.Fatalf("big=%v: %v", big, err)
 		}
@@ -99,7 +99,7 @@ func TestDefaultWorkers(t *testing.T) {
 	var n int64
 	// Workers: 0 → defaultWorkers (may collapse to sequential on 1 CPU).
 	_, err := RunParallel(afcs, DirResolver(dir), Options{Cols: attrs, Workers: 0},
-		func(table.Row) error { n++; return nil })
+		EachRow(func(table.Row) error { n++; return nil }))
 	if err != nil || n != 12 {
 		t.Errorf("RunParallel default workers: %d rows, %v", n, err)
 	}
@@ -123,10 +123,10 @@ func TestRowDimFloatKind(t *testing.T) {
 	cols := []schema.Attribute{{Name: "T", Kind: schema.Float}, {Name: "P", Kind: schema.Double}}
 	var ts []float64
 	_, err := Run([]afc.AFC{a}, DirResolver(dir), Options{Cols: cols},
-		func(r table.Row) error {
+		EachRow(func(r table.Row) error {
 			ts = append(ts, r[0].AsFloat())
 			return nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -521,8 +521,9 @@ func compareKey(a, b schema.Value) int {
 // a state encodes to one or more chunks of roughly targetBytes each.
 
 // EncodeChunks serializes the state's groups into independently
-// mergeable chunks of roughly targetBytes each. An empty state encodes
-// to no chunks.
+// mergeable chunks of roughly targetBytes each, groups in key-byte
+// order so equal states encode to identical bytes. An empty state
+// encodes to no chunks.
 func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 	if len(s.groups) == 0 {
 		return nil
@@ -541,7 +542,13 @@ func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 		chunks = append(chunks, buf)
 		buf, n = nil, 0
 	}
-	for key, g := range s.groups {
+	keys := make([]string, 0, len(s.groups))
+	for key := range s.groups {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		g := s.groups[key]
 		if buf == nil {
 			buf = append(make([]byte, 0, targetBytes+512), 0, 0, 0, 0)
 		}
@@ -583,14 +590,25 @@ func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 	return chunks
 }
 
-// MergeEncoded merges one encoded partial chunk into the state.
+// MergeEncoded merges one encoded partial chunk into the state. The
+// whole chunk is decoded and validated first, so a corrupt chunk
+// returns an error and leaves the state untouched.
 func (s *AggState) MergeEncoded(data []byte) error {
 	rd := wireReader{b: data}
 	ngroups, err := rd.u32()
 	if err != nil {
 		return err
 	}
+	// Every group carries at least its 8-byte count.
+	if int64(ngroups) > int64(rd.remaining()/8) {
+		return fmt.Errorf("query: aggregate partial: group count %d overruns payload", ngroups)
+	}
 	p := s.plan
+	type decodedGroup struct {
+		key string
+		g   *aggGroup
+	}
+	groups := make([]decodedGroup, 0, ngroups)
 	for gi := uint32(0); gi < ngroups; gi++ {
 		og := &aggGroup{keys: make([]schema.Value, len(p.Keys)), accs: make([]aggAcc, len(p.Aggs))}
 		keyStart := rd.off
@@ -649,10 +667,13 @@ func (s *AggState) MergeEncoded(data []byte) error {
 				acc.x.setFlags(flags&1 != 0, flags&2 != 0, flags&4 != 0)
 			}
 		}
-		s.mergeGroup(key, og)
+		groups = append(groups, decodedGroup{key: key, g: og})
 	}
 	if rd.remaining() != 0 {
 		return fmt.Errorf("query: aggregate partial: %d trailing bytes", rd.remaining())
+	}
+	for _, dg := range groups {
+		s.mergeGroup(dg.key, dg.g)
 	}
 	return nil
 }

@@ -263,3 +263,46 @@ func TestAggMergeEncodedRejectsCorrupt(t *testing.T) {
 		t.Errorf("pristine chunk rejected: %v", err)
 	}
 }
+
+// TestAggMergeEncodedCorruptLeavesStateUntouched merges corrupt
+// partials into a populated state: each must fail without merging any
+// of its groups, so the state encodes to the same bytes as before.
+func TestAggMergeEncodedCorruptLeavesStateUntouched(t *testing.T) {
+	plan := aggTestPlan(t)
+	rng := rand.New(rand.NewSource(7))
+	partial := NewAggState(plan)
+	for _, row := range randAggRows(rng, 64) {
+		partial.ObserveRow(row)
+	}
+	if partial.Groups() < 2 {
+		t.Fatalf("partial has %d groups, want several", partial.Groups())
+	}
+	chunks := partial.EncodeChunks(0)
+	if len(chunks) != 1 {
+		t.Fatalf("got %d chunks, want 1", len(chunks))
+	}
+	good := chunks[0]
+	cases := map[string][]byte{
+		"trailing bytes":          append(append([]byte(nil), good...), 0xEE, 0xEE),
+		"truncated in last group": good[:len(good)-5],
+	}
+	for name, data := range cases {
+		target := NewAggState(plan)
+		for _, row := range randAggRows(rng, 32) {
+			target.ObserveRow(row)
+		}
+		before := target.EncodeChunks(0)
+		if err := target.MergeEncoded(data); err == nil {
+			t.Errorf("%s: corrupt partial accepted", name)
+		}
+		after := target.EncodeChunks(0)
+		if len(after) != len(before) {
+			t.Fatalf("%s: state encodes to %d chunks after the failed merge, %d before", name, len(after), len(before))
+		}
+		for i := range before {
+			if string(after[i]) != string(before[i]) {
+				t.Errorf("%s: chunk %d changed by the failed merge", name, i)
+			}
+		}
+	}
+}

@@ -72,22 +72,44 @@ func (c *Codec) Decode(dst Row, b []byte) (Row, []byte, error) {
 }
 
 // DecodeAll decodes every row in b; len(b) must be a multiple of
-// RowBytes.
+// RowBytes. The rows share one freshly allocated value slab, each a
+// full slice expression of it, so they may be retained independently
+// and appending to one cannot overwrite its neighbour.
 func (c *Codec) DecodeAll(b []byte) ([]Row, error) {
-	if len(b)%c.rowBytes != 0 {
+	if c.rowBytes == 0 || len(b)%c.rowBytes != 0 {
 		return nil, fmt.Errorf("table: buffer of %d bytes is not a whole number of %d-byte rows", len(b), c.rowBytes)
 	}
-	out := make([]Row, 0, len(b)/c.rowBytes)
-	for len(b) > 0 {
-		var row Row
+	n, w := len(b)/c.rowBytes, len(c.kinds)
+	slab := make([]schema.Value, n*w)
+	out := make([]Row, n)
+	for i := range out {
 		var err error
-		row, b, err = c.Decode(nil, b)
+		out[i], b, err = c.Decode(slab[i*w:(i+1)*w:(i+1)*w], b)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, row)
 	}
 	return out, nil
+}
+
+// CopyRows returns a copy of rows whose values live in one exactly
+// sized slab, each row a full slice expression of it: the copies stay
+// valid however the originals are reused, and appending to one copy
+// reallocates it instead of clobbering the next.
+func CopyRows(rows []Row) []Row {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	slab := make([]schema.Value, n)
+	out := make([]Row, len(rows))
+	off := 0
+	for i, r := range rows {
+		end := off + copy(slab[off:], r)
+		out[i] = slab[off:end:end]
+		off = end
+	}
+	return out
 }
 
 // FormatRow renders a row for display: values separated by tabs.

@@ -103,6 +103,50 @@ func TestDecodeAll(t *testing.T) {
 			t.Errorf("row %d: %v != %v", i, want[i], got[i])
 		}
 	}
+	assertRowsIsolated(t, "DecodeAll", got, want)
+	if allocs := testing.AllocsPerRun(10, func() { c.DecodeAll(buf) }); allocs > 2 {
+		t.Errorf("DecodeAll of %d rows allocated %.0f times, want one slab and one row slice", len(want), allocs)
+	}
+}
+
+func TestCopyRows(t *testing.T) {
+	src := []Row{
+		{schema.IntValue(1), schema.DoubleValue(1.5)},
+		{},
+		{schema.IntValue(2)},
+		{schema.IntValue(3), schema.DoubleValue(3.5)},
+	}
+	want := make([]Row, len(src))
+	for i, r := range src {
+		want[i] = append(Row{}, r...)
+	}
+	got := CopyRows(src)
+	for _, r := range src {
+		for j := range r {
+			r[j] = schema.IntValue(-9) // the producer reuses its rows
+		}
+	}
+	for i := range want {
+		if !RowsEqual(want[i], got[i]) {
+			t.Errorf("copy %d: %v != %v", i, got[i], want[i])
+		}
+	}
+	assertRowsIsolated(t, "CopyRows", got, want)
+}
+
+// assertRowsIsolated appends to each row in turn and checks that no
+// other row changes: rows sharing a slab must be full slice
+// expressions of it.
+func assertRowsIsolated(t *testing.T, name string, got, want []Row) {
+	t.Helper()
+	for i := range got {
+		_ = append(got[i], schema.IntValue(-1))
+		for j := range got {
+			if !RowsEqual(got[j], want[j]) {
+				t.Fatalf("%s: appending to row %d changed row %d to %v", name, i, j, got[j])
+			}
+		}
+	}
 }
 
 func TestFormatRow(t *testing.T) {
