@@ -276,19 +276,24 @@ func (s *AggState) group(mk func() []schema.Value) *aggGroup {
 // ObserveBatch folds the selected rows of a batch into the state. The
 // batch's columns use the layout the plan was bound against; integral
 // key and aggregate-input columns must have their I vectors filled.
+//
+// It works in two vectorized passes per run of equal keys. A run is a
+// maximal stretch of sel whose canonical key bits (the bits keyBuf
+// holds) match its first row's, so the group is looked up once per run:
+// once per batch when every key is an AFC-implicit attribute such as
+// REL or TIME, which Process_File_Groups fixes for a whole chunk, and
+// once for a global aggregate. Each aggregate then folds the run a
+// column at a time. Rows reach each group in sel order, as in
+// ObserveRow, so exact sums see the same terms in the same order and
+// the state encodes to the same bytes.
 func (s *AggState) ObserveBatch(b *Batch, sel []int32) {
 	p := s.plan
-	for _, r := range sel {
+	for len(sel) > 0 {
+		r := sel[0]
 		for ki, idx := range p.keyIdx {
-			c := &b.Cols[idx]
-			var bits uint64
-			if c.Kind.Integral() {
-				bits = uint64(c.I[r])
-			} else {
-				bits = math.Float64bits(canonFloat(c.F[r]))
-			}
-			binary.LittleEndian.PutUint64(s.keyBuf[8*ki:], bits)
+			binary.LittleEndian.PutUint64(s.keyBuf[8*ki:], vecKeyBits(&b.Cols[idx], r))
 		}
+		n := s.runLen(b, sel)
 		g := s.group(func() []schema.Value {
 			keys := make([]schema.Value, len(p.Keys))
 			for ki, idx := range p.keyIdx {
@@ -301,23 +306,53 @@ func (s *AggState) ObserveBatch(b *Batch, sel []int32) {
 			}
 			return keys
 		})
-		first := g.count == 0
-		for ai := range p.Aggs {
-			spec := &p.Aggs[ai]
-			acc := &g.accs[ai]
-			switch spec.acc {
-			case accCount:
-			case accInt:
-				v := b.Cols[p.aggIdx[ai]].I[r]
-				acc.updateInt(spec.Func, v, first)
-			case accFloat:
-				acc.updateFloat(spec.Func, b.Cols[p.aggIdx[ai]].F[r], first)
-			case accExact:
-				acc.x.Add(b.Cols[p.aggIdx[ai]].F[r])
+		s.foldRun(g, b, sel[:n])
+		sel = sel[n:]
+	}
+}
+
+// vecKeyBits returns the canonical group-key bits of row r of c.
+func vecKeyBits(c *Vec, r int32) uint64 {
+	if c.Kind.Integral() {
+		return uint64(c.I[r])
+	}
+	return math.Float64bits(canonFloat(c.F[r]))
+}
+
+// runLen returns the length of the run at the head of sel: the rows
+// whose key bits equal sel[0]'s, which s.keyBuf holds.
+func (s *AggState) runLen(b *Batch, sel []int32) int {
+	n := 1
+rows:
+	for ; n < len(sel); n++ {
+		for ki, idx := range s.plan.keyIdx {
+			if vecKeyBits(&b.Cols[idx], sel[n]) != binary.LittleEndian.Uint64(s.keyBuf[8*ki:]) {
+				break rows
 			}
 		}
-		g.count++
 	}
+	return n
+}
+
+// foldRun folds a run of rows that all belong to g, one aggregate (one
+// column) at a time.
+func (s *AggState) foldRun(g *aggGroup, b *Batch, run []int32) {
+	p := s.plan
+	first := g.count == 0
+	for ai := range p.Aggs {
+		spec := &p.Aggs[ai]
+		acc := &g.accs[ai]
+		switch spec.acc {
+		case accCount:
+		case accInt:
+			acc.foldInt(spec.Func, b.Cols[p.aggIdx[ai]].I, run, first)
+		case accFloat:
+			acc.foldFloat(spec.Func, b.Cols[p.aggIdx[ai]].F, run, first)
+		case accExact:
+			acc.x.AddSel(b.Cols[p.aggIdx[ai]].F, run)
+		}
+	}
+	g.count += int64(len(run))
 }
 
 // ObserveRow folds one materialized row (working layout) into the
@@ -390,6 +425,52 @@ func (a *aggAcc) updateFloat(f sqlparser.AggFunc, v float64, first bool) {
 	} else {
 		a.f = math.Max(a.f, v)
 	}
+}
+
+// foldInt is updateInt over col[r] for every r in a non-empty sel.
+func (a *aggAcc) foldInt(f sqlparser.AggFunc, col []int64, sel []int32, first bool) {
+	m := a.i
+	if first && f != sqlparser.AggSum && f != sqlparser.AggAvg {
+		m = col[sel[0]]
+	}
+	switch f {
+	case sqlparser.AggSum, sqlparser.AggAvg:
+		for _, r := range sel {
+			m += col[r]
+		}
+	case sqlparser.AggMin:
+		for _, r := range sel {
+			if v := col[r]; v < m {
+				m = v
+			}
+		}
+	case sqlparser.AggMax:
+		for _, r := range sel {
+			if v := col[r]; v > m {
+				m = v
+			}
+		}
+	}
+	a.i = m
+}
+
+// foldFloat is updateFloat over col[r] for every r in a non-empty sel.
+func (a *aggAcc) foldFloat(f sqlparser.AggFunc, col []float64, sel []int32, first bool) {
+	m := a.f
+	if first {
+		m = col[sel[0]]
+		sel = sel[1:]
+	}
+	if f == sqlparser.AggMin {
+		for _, r := range sel {
+			m = math.Min(m, col[r])
+		}
+	} else {
+		for _, r := range sel {
+			m = math.Max(m, col[r])
+		}
+	}
+	a.f = m
 }
 
 // Merge folds another state (for the same plan shape) into s.
@@ -590,9 +671,18 @@ func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 	return chunks
 }
 
+// PartialError reports an encoded partial chunk that fails validation.
+type PartialError struct {
+	Reason string
+}
+
+func (e *PartialError) Error() string { return "query: aggregate partial: " + e.Reason }
+
+var errTruncatedPartial = &PartialError{"truncated payload"}
+
 // MergeEncoded merges one encoded partial chunk into the state. The
 // whole chunk is decoded and validated first, so a corrupt chunk
-// returns an error and leaves the state untouched.
+// returns a *PartialError and leaves the state untouched.
 func (s *AggState) MergeEncoded(data []byte) error {
 	rd := wireReader{b: data}
 	ngroups, err := rd.u32()
@@ -601,7 +691,7 @@ func (s *AggState) MergeEncoded(data []byte) error {
 	}
 	// Every group carries at least its 8-byte count.
 	if int64(ngroups) > int64(rd.remaining()/8) {
-		return fmt.Errorf("query: aggregate partial: group count %d overruns payload", ngroups)
+		return &PartialError{fmt.Sprintf("group count %d overruns payload", ngroups)}
 	}
 	p := s.plan
 	type decodedGroup struct {
@@ -619,16 +709,32 @@ func (s *AggState) MergeEncoded(data []byte) error {
 			}
 			if k.Kind.Integral() {
 				og.keys[ki] = schema.Value{Kind: k.Kind, Int: int64(bits)}
-			} else {
-				og.keys[ki] = schema.Value{Kind: k.Kind, Float: math.Float64frombits(bits)}
+				continue
 			}
+			f := math.Float64frombits(bits)
+			// Encoders only emit canonical bits; a -0 or another NaN
+			// payload would split one group into two.
+			if bits != math.Float64bits(canonFloat(f)) {
+				return &PartialError{fmt.Sprintf("non-canonical float key %#016x for %s", bits, k.Col)}
+			}
+			og.keys[ki] = schema.Value{Kind: k.Kind, Float: f}
 		}
 		key := string(data[keyStart : keyStart+8*len(p.Keys)])
+		// EncodeChunks emits each group once, in key-byte order.
+		if gi > 0 && key <= groups[gi-1].key {
+			return &PartialError{"groups out of key order"}
+		}
 		cnt, err := rd.u64()
 		if err != nil {
 			return err
 		}
-		og.count = int64(cnt)
+		// Every encoded group observed at least one row.
+		if og.count = int64(cnt); og.count < 1 {
+			return &PartialError{fmt.Sprintf("group row count %d", og.count)}
+		}
+		if g, ok := s.groups[key]; ok && og.count > math.MaxInt64-g.count {
+			return &PartialError{"merged group row count overflows"}
+		}
 		for ai := range p.Aggs {
 			acc := &og.accs[ai]
 			switch p.Aggs[ai].acc {
@@ -655,7 +761,7 @@ func (s *AggState) MergeEncoded(data []byte) error {
 					return err
 				}
 				if int(nterms) > rd.remaining()/8 {
-					return fmt.Errorf("query: aggregate partial: term count %d overruns payload", nterms)
+					return &PartialError{fmt.Sprintf("term count %d overruns payload", nterms)}
 				}
 				for t := uint32(0); t < nterms; t++ {
 					bits, err := rd.u64()
@@ -670,7 +776,7 @@ func (s *AggState) MergeEncoded(data []byte) error {
 		groups = append(groups, decodedGroup{key: key, g: og})
 	}
 	if rd.remaining() != 0 {
-		return fmt.Errorf("query: aggregate partial: %d trailing bytes", rd.remaining())
+		return &PartialError{fmt.Sprintf("%d trailing bytes", rd.remaining())}
 	}
 	for _, dg := range groups {
 		s.mergeGroup(dg.key, dg.g)
@@ -688,7 +794,7 @@ func (r *wireReader) remaining() int { return len(r.b) - r.off }
 
 func (r *wireReader) u8() (byte, error) {
 	if r.remaining() < 1 {
-		return 0, fmt.Errorf("query: aggregate partial: truncated payload")
+		return 0, errTruncatedPartial
 	}
 	v := r.b[r.off]
 	r.off++
@@ -697,7 +803,7 @@ func (r *wireReader) u8() (byte, error) {
 
 func (r *wireReader) u32() (uint32, error) {
 	if r.remaining() < 4 {
-		return 0, fmt.Errorf("query: aggregate partial: truncated payload")
+		return 0, errTruncatedPartial
 	}
 	v := binary.LittleEndian.Uint32(r.b[r.off:])
 	r.off += 4
@@ -706,7 +812,7 @@ func (r *wireReader) u32() (uint32, error) {
 
 func (r *wireReader) u64() (uint64, error) {
 	if r.remaining() < 8 {
-		return 0, fmt.Errorf("query: aggregate partial: truncated payload")
+		return 0, errTruncatedPartial
 	}
 	v := binary.LittleEndian.Uint64(r.b[r.off:])
 	r.off += 8

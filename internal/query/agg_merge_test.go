@@ -1,6 +1,9 @@
 package query
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,20 +20,26 @@ import (
 
 const aggTestSQL = "SELECT G, H, COUNT(*), SUM(V), SUM(W), MIN(V), MAX(V), MIN(W), MAX(W), AVG(V), AVG(W) FROM T GROUP BY G, H"
 
-func aggTestPlan(t *testing.T) *AggPlan {
+// aggTestKinds are the kinds of the test table's columns G, H, V, W.
+var aggTestKinds = []schema.Kind{schema.Int, schema.Double, schema.Long, schema.Double}
+
+func aggTestPlan(t testing.TB) *AggPlan {
+	return aggTestPlanSQL(t, aggTestSQL)
+}
+
+// aggTestPlanSQL compiles and binds an aggregate query over the test
+// table T(G, H, V, W).
+func aggTestPlanSQL(t testing.TB, sql string) *AggPlan {
 	t.Helper()
-	sch := schema.MustNew("T", []schema.Attribute{
-		{Name: "G", Kind: schema.Int},
-		{Name: "H", Kind: schema.Double},
-		{Name: "V", Kind: schema.Long},
-		{Name: "W", Kind: schema.Double},
-	})
-	q := sqlparser.MustParse(aggTestSQL)
-	plan, err := BuildAggPlan(q, sch)
+	cols := []string{"G", "H", "V", "W"}
+	attrs := make([]schema.Attribute, len(cols))
+	for i, c := range cols {
+		attrs[i] = schema.Attribute{Name: c, Kind: aggTestKinds[i]}
+	}
+	plan, err := BuildAggPlan(sqlparser.MustParse(sql), schema.MustNew("T", attrs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := []string{"G", "H", "V", "W"}
 	err = plan.Bind(func(name string) (int, bool) {
 		for i, c := range cols {
 			if c == name {
@@ -45,17 +54,18 @@ func aggTestPlan(t *testing.T) *AggPlan {
 	return plan
 }
 
+// tricky are adversarial SUM inputs, short of the running-sum overflow
+// regime where ExactSum deliberately saturates (order-dependently).
+var tricky = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+	1e300, -1e300, 1e-300, math.SmallestNonzeroFloat64, 1e16, -1e16,
+}
+
 // randAggRows generates rows with few distinct keys (to force group
 // collisions across legs) and adversarial float values, including a -0
 // and NaN key so canonicalization is exercised.
 func randAggRows(rng *rand.Rand, n int) [][]schema.Value {
 	keys := []float64{1.5, -2.25, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
-	// Adversarial SUM inputs, short of the running-sum overflow regime
-	// where ExactSum deliberately saturates (order-dependently).
-	tricky := []float64{
-		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
-		1e300, -1e300, 1e-300, math.SmallestNonzeroFloat64, 1e16, -1e16,
-	}
 	rows := make([][]schema.Value, n)
 	for i := range rows {
 		w := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
@@ -136,6 +146,28 @@ func TestAggMergePartitionIndependence(t *testing.T) {
 	}
 }
 
+// aggBatch lays rows (the aggTestPlan layout: G, H, V, W) out as a
+// batch, with I vectors for the integral columns.
+func aggBatch(rows [][]schema.Value) *Batch {
+	batch := &Batch{}
+	batch.Reset(4, len(rows))
+	for c := 0; c < 4; c++ {
+		batch.Cols[c].Kind = aggTestKinds[c]
+		f := batch.Cols[c].F
+		var iv []int64
+		if aggTestKinds[c].Integral() {
+			iv = batch.IntCol(c)
+		}
+		for r, row := range rows {
+			f[r] = row[c].AsFloat()
+			if iv != nil {
+				iv[r] = row[c].Int
+			}
+		}
+	}
+	return batch
+}
+
 func TestAggBatchMatchesRowPath(t *testing.T) {
 	plan := aggTestPlan(t)
 	rng := rand.New(rand.NewSource(5))
@@ -150,22 +182,7 @@ func TestAggBatchMatchesRowPath(t *testing.T) {
 		// The batch path observes the same rows through column vectors
 		// with a partial selection; the unselected rows go through
 		// ObserveRow so both states see the identical multiset.
-		batch := &Batch{}
-		batch.Reset(4, len(rows))
-		for c := 0; c < 4; c++ {
-			batch.Cols[c].Kind = rows[0][c].Kind
-			f := batch.Cols[c].F
-			var iv []int64
-			if rows[0][c].Kind.Integral() {
-				iv = batch.IntCol(c)
-			}
-			for r, row := range rows {
-				f[r] = row[c].AsFloat()
-				if iv != nil {
-					iv[r] = row[c].Int
-				}
-			}
-		}
+		batch := aggBatch(rows)
 		var sel, rest []int32
 		for i := range rows {
 			if rng.Intn(3) > 0 {
@@ -305,4 +322,113 @@ func TestAggMergeEncodedCorruptLeavesStateUntouched(t *testing.T) {
 			}
 		}
 	}
+}
+
+// encodedState is a state's single-chunk encoding (nil when empty).
+func encodedState(t testing.TB, s *AggState) []byte {
+	t.Helper()
+	chunks := s.EncodeChunks(0)
+	if len(chunks) > 1 {
+		t.Fatalf("state encoded to %d chunks, want at most 1", len(chunks))
+	}
+	if len(chunks) == 0 {
+		return nil
+	}
+	return chunks[0]
+}
+
+// TestAggMergeEncodedRejectsBadGroups pins the group-level checks of the
+// wire decoder: a float key that is not in canonical form (it would
+// split one group in two), a row count below one (it would finalize to
+// a COUNT 0 or negative row), a count that overflows the merged group's,
+// and a group encoded twice fail with a *PartialError and leave the
+// state untouched.
+func TestAggMergeEncodedRejectsBadGroups(t *testing.T) {
+	plan := aggTestPlan(t)
+	one := NewAggState(plan)
+	one.ObserveRow([]schema.Value{
+		{Kind: schema.Int, Int: 1},
+		{Kind: schema.Double, Float: 0},
+		{Kind: schema.Long, Int: 10},
+		{Kind: schema.Double, Float: 2.5},
+	})
+	good := encodedState(t, one)
+	// Layout of the one-group chunk: ngroups, G, H, count, accumulators.
+	const hOff, countOff = 4 + 8, 4 + 16
+	patch := func(off int, bits uint64) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[off:], bits)
+		return b
+	}
+	cases := map[string][]byte{
+		"negative zero key":   patch(hOff, math.Float64bits(math.Copysign(0, -1))),
+		"NaN payload key":     patch(hOff, 0x7FF8000000000002),
+		"negative NaN key":    patch(hOff, 0xFFF8000000000001),
+		"zero row count":      patch(countOff, 0),
+		"negative row count":  patch(countOff, uint64(math.MaxUint64)),
+		"minimum int64 count": patch(countOff, 1<<63),
+		"count overflow":      patch(countOff, math.MaxInt64),
+		"duplicate group":     append(append([]byte{2, 0, 0, 0}, good[4:]...), good[4:]...),
+	}
+	for name, data := range cases {
+		target := NewAggState(plan)
+		if err := target.MergeEncoded(good); err != nil {
+			t.Fatal(err)
+		}
+		before := encodedState(t, target)
+		err := target.MergeEncoded(data)
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: got error %v, want a *PartialError", name, err)
+		}
+		if !bytes.Equal(encodedState(t, target), before) {
+			t.Errorf("%s: the failed merge changed the state", name)
+		}
+		if n := len(target.Finalize()); n != 1 {
+			t.Errorf("%s: %d result rows after the failed merge, want 1", name, n)
+		}
+	}
+	// The canonical NaN key is accepted.
+	nan := NewAggState(plan)
+	if err := nan.MergeEncoded(patch(hOff, math.Float64bits(canonFloat(math.NaN())))); err != nil {
+		t.Errorf("canonical NaN key rejected: %v", err)
+	}
+}
+
+// FuzzMergeEncoded feeds arbitrary chunks to the wire decoder, seeded
+// with real encodings. Every input either fails with the state left
+// byte-for-byte as it was, or merges into a state that re-encodes and
+// re-merges to the same result rows.
+func FuzzMergeEncoded(f *testing.F) {
+	plan := aggTestPlan(f)
+	base := randAggRows(rand.New(rand.NewSource(11)), 48)
+	for seed := int64(0); seed < 4; seed++ {
+		s := NewAggState(plan)
+		for _, row := range randAggRows(rand.New(rand.NewSource(seed)), 1+int(seed)*20) {
+			s.ObserveRow(row)
+		}
+		for _, c := range s.EncodeChunks(1 + int(seed)*64) {
+			f.Add(c)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		target := NewAggState(plan)
+		for _, row := range base {
+			target.ObserveRow(row)
+		}
+		before := encodedState(t, target)
+		if err := target.MergeEncoded(data); err != nil {
+			if !bytes.Equal(encodedState(t, target), before) {
+				t.Fatalf("failed merge (%v) changed the state", err)
+			}
+			return
+		}
+		again := NewAggState(plan)
+		for _, c := range target.EncodeChunks(256) {
+			if err := again.MergeEncoded(c); err != nil {
+				t.Fatalf("re-merging the merged state's encoding: %v", err)
+			}
+		}
+		sameRows(t, "re-merged", target.Finalize(), again.Finalize())
+	})
 }

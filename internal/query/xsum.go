@@ -77,6 +77,30 @@ func (x *ExactSum) Add(v float64) {
 	x.terms = out
 }
 
+// AddSel folds col[r] for every r in sel, in sel order, leaving x in
+// exactly the state that calling Add on each value would. It inlines
+// the common step — a finite value into a one-term expansion whose sum
+// stays exact and in range — and hands every other value (non-finite,
+// rounding, overflowing, or into a longer expansion) to Add.
+func (x *ExactSum) AddSel(col []float64, sel []int32) {
+	terms := x.terms
+	for _, r := range sel {
+		v := col[r]
+		if len(terms) == 1 {
+			// An exact, finite step; a NaN or ±Inf v, a rounding error
+			// or an overflow fails the test and goes through Add.
+			if s, e := twoSum(v, terms[0]); e == 0 && s-s == 0 {
+				terms[0] = s
+				continue
+			}
+		}
+		x.terms = terms
+		x.Add(v)
+		terms = x.terms
+	}
+	x.terms = terms
+}
+
 // Merge folds another exact sum into x. Because both sides are exact,
 // the merged state equals accumulating every input term directly, in any
 // order.
