@@ -79,8 +79,8 @@ func main() {
 	root := flag.String("root", ".", "data root directory (holds <node>/<dir>/<file>)")
 	nodes := flag.String("nodes", "", "run distributed: comma-separated node address table name=host:port,...")
 	var cfg config
-	flag.BoolVar(&cfg.parallel, "parallel", false, "extract aligned file chunks with a worker pool")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = automatic)")
+	flag.BoolVar(&cfg.parallel, "parallel", false, "row queries: extract aligned file chunks with a worker pool (aggregates always fold in parallel)")
+	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = automatic; 1 = sequential, also for aggregates)")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress rows; print only the summary")
 	flag.BoolVar(&cfg.header, "header", true, "print a column header line")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the query plan (ranges and aligned file chunks) instead of rows")

@@ -62,8 +62,9 @@ const (
 	// protocolVersion is checked per query request. Version 2 added
 	// query-ID-tagged frames (connection multiplexing), flow-control
 	// windows, and the cancel/busy frames; version 3 added the 'A'
-	// partial-aggregate frame (push-down aggregation).
-	protocolVersion = 3
+	// partial-aggregate frame (push-down aggregation); version 4 added
+	// the scaled large-input expansion to exact-sum partials.
+	protocolVersion = 4
 
 	// batchRows is the number of rows per 'R' frame.
 	batchRows = 512

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -116,16 +117,24 @@ func TestAggregateParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := p.Collect(Options{})
+	seq, _, err := p.Collect(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := p.Collect(Options{Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	// Exact accumulators make every worker count's merge bit-identical;
+	// Parallel (a row-query knob) changes nothing for aggregates.
+	for _, workers := range []int{0, 2, 3, 8, len(p.AFCs) + 5} {
+		for _, parallel := range []bool{false, true} {
+			par, stats, err := p.Collect(Options{Parallel: parallel, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowsEqual(t, fmt.Sprintf("workers=%d parallel=%v", workers, parallel), seq, par)
+			if stats.AFCs != len(p.AFCs) {
+				t.Errorf("workers=%d: %d AFCs folded, want %d", workers, stats.AFCs, len(p.AFCs))
+			}
+		}
 	}
-	// Exact accumulators make the parallel merge bit-identical.
-	rowsEqual(t, "parallel", seq, par)
 
 	// The scalar-filter diagnostic path must also agree.
 	scalar, sstats, err := p.Collect(Options{ScalarFilter: true})

@@ -468,9 +468,14 @@ func (s *Service) PrepareParsedContext(ctx context.Context, q *sqlparser.Query) 
 
 // Options tune query execution.
 type Options struct {
-	// Parallel extracts AFCs with a worker pool.
+	// Parallel extracts a row query's AFCs with a worker pool (row order
+	// across AFCs is then unspecified). Aggregates ignore it: their AFCs
+	// are always folded by a worker pool, whose result does not depend
+	// on scheduling.
 	Parallel bool
-	// Workers bounds the pool (0 = default).
+	// Workers bounds the pool (0 = default: GOMAXPROCS capped at 8);
+	// Workers: 1 folds an aggregate sequentially on the calling
+	// goroutine.
 	Workers int
 	// NodeFilter restricts execution to AFCs whose segments all live on
 	// the given node (used by cluster node servers). Empty = all.
@@ -600,14 +605,7 @@ func (p *Prepared) RunAggPartialContext(ctx context.Context, opt Options) (*quer
 	tracer := obs.TracerFrom(ctx)
 	xopt := p.extractorOptions(tracer, opt)
 	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
-	var state *query.AggState
-	var stats extractor.Stats
-	var err error
-	if opt.Parallel {
-		state, stats, err = extractor.RunAggregateParallelContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
-	} else {
-		state, stats, err = extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
-	}
+	state, stats, err := extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
 	endExtract(err)
 	tracer.StageEnd(p.sqlText, obs.StageFilter, time.Duration(stats.FilterNS), err)
 	tracer.StageEnd(p.sqlText, obs.StageAggregate, time.Duration(stats.AggNS), err)

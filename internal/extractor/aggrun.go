@@ -3,121 +3,87 @@ package extractor
 import (
 	"context"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"datavirt/internal/afc"
 	"datavirt/internal/query"
 )
 
-// RunAggregateContext extracts the AFCs sequentially, folding every row
-// that survives the residual predicate into partial aggregates for the
-// plan — no rows are materialized or emitted. The returned state holds
+// RunAggregateContext extracts the AFCs, folding every row that
+// survives the residual predicate into partial aggregates for the plan
+// — no rows are materialized or emitted. The returned state holds
 // un-finalized partials; the caller finalizes locally or merges states
 // from several legs first. The plan must be bound against the same
 // working layout as opt.Cols.
+//
+// AFCs are independent units of work (paper Fig. 5), so the fold runs
+// on opt.Workers workers (default GOMAXPROCS capped at 8, never more
+// than len(afcs)). Workers claim AFC indices from one shared counter,
+// and the calling goroutine is one of them: a single worker is a plain
+// inline loop. Each worker folds into a private AggState with its own
+// block buffers and reader pool; the states merge once, after every
+// worker has returned. Aggregation is exact and commutative (see
+// internal/query), so the result does not depend on which worker
+// claimed which AFC. The first error stops further claims and is
+// returned; cancelling ctx returns ctx.Err().
 func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, plan *query.AggPlan) (*query.AggState, Stats, error) {
-	src, done := runSource(opt)
-	defer done()
-	var stats Stats
-	state := query.NewAggState(plan)
-	pool := newSegPool(src, resolver)
-	defer pool.release()
-	bb := &blockBuf{}
-	for i := range afcs {
-		if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, state, nil); err != nil {
-			return state, stats, err
-		}
-	}
-	stats.AggPushedQueries = 1
-	stats.AggPartialGroups = int64(state.Groups())
-	return state, stats, nil
-}
-
-// RunAggregateParallelContext is RunAggregateContext with a bounded
-// worker pool: each worker folds its AFCs into a private AggState, and
-// the states merge at the end. Aggregation is exact and commutative
-// (see internal/query), so the result is identical to the sequential
-// run regardless of AFC scheduling.
-func RunAggregateParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, plan *query.AggPlan) (*query.AggState, Stats, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(afcs) {
-		workers = len(afcs)
-	}
-	if workers <= 1 {
-		return RunAggregateContext(ctx, afcs, resolver, opt, plan)
-	}
-
+	start := time.Now()
 	src, srcDone := runSource(opt)
 	defer srcDone()
 
-	type result struct {
+	type worker struct {
 		state *query.AggState
 		stats Stats
+		busy  time.Duration
 	}
-	work := make(chan *afc.AFC)
-	results := make(chan result, workers)
-	done := make(chan struct{})
-	var once sync.Once
-	var workerErr error
-	fail := func(err error) {
-		once.Do(func() {
-			workerErr = err
-			close(done)
-		})
+	ws := make([]worker, workerCount(opt, len(afcs)))
+	var next atomic.Int64
+	var stop atomic.Bool
+	var errOnce sync.Once
+	var firstErr error
+	fold := func(w *worker) {
+		begin := time.Now()
+		w.state = query.NewAggState(plan)
+		pool := newSegPool(src, resolver)
+		defer pool.release()
+		bb := &blockBuf{}
+		for !stop.Load() {
+			i := next.Add(1) - 1
+			if i >= int64(len(afcs)) {
+				break
+			}
+			if err := extractOne(ctx, &afcs[i], pool, opt, bb, &w.stats, w.state, nil); err != nil {
+				errOnce.Do(func() { firstErr = err })
+				stop.Store(true)
+			}
+		}
+		w.busy = time.Since(begin)
 	}
 	var wg sync.WaitGroup
-
-	for w := 0; w < workers; w++ {
+	for i := 1; i < len(ws); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bb := &blockBuf{}
-			pool := newSegPool(src, resolver)
-			defer pool.release()
-			r := result{state: query.NewAggState(plan)}
-			for a := range work {
-				if err := extractOne(ctx, a, pool, opt, bb, &r.stats, r.state, nil); err != nil {
-					fail(err)
-					return
-				}
-			}
-			select {
-			case results <- r:
-			case <-done:
-			}
+			fold(&ws[i])
 		}()
 	}
+	fold(&ws[0])
+	wg.Wait()
 
-	// Feeder: stops early when any worker fails or ctx is cancelled.
-	go func() {
-		defer close(work)
-		for i := range afcs {
-			select {
-			case work <- &afcs[i]:
-			case <-done:
-				return
-			case <-ctx.Done():
-				fail(ctx.Err())
-				return
-			}
-		}
-	}()
-
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	state := query.NewAggState(plan)
+	state := ws[0].state
 	var stats Stats
-	for r := range results {
-		stats.Add(r.stats)
-		state.Merge(r.state)
+	var busy time.Duration
+	for i := range ws {
+		if i > 0 {
+			state.Merge(ws[i].state)
+		}
+		stats.Add(ws[i].stats)
+		busy += ws[i].busy
 	}
-	if workerErr != nil {
-		return state, stats, workerErr
+	stats.fitWall(time.Since(start), busy)
+	if firstErr != nil {
+		return state, stats, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return state, stats, err

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datavirt/internal/afc"
@@ -66,8 +67,10 @@ type Stats struct {
 	RowsEmitted int64
 	BytesRead   int64
 	// FilterNS is the time spent evaluating the residual predicate and
-	// delivering rows, in nanoseconds, summed across workers (so it can
-	// exceed the run's wall time under RunParallel).
+	// delivering rows, in nanoseconds. A multi-worker run sums it across
+	// workers, then scales it (with AggNS) by wall/Σbusy when the
+	// workers' busy spans overlap, so FilterNS + AggNS never exceeds the
+	// run's wall time and each stage's self time stays non-negative.
 	FilterNS int64
 
 	// CacheHits and CacheMisses count block-cache lookups made by this
@@ -105,12 +108,13 @@ type Stats struct {
 	// Pred calls.
 	VectorBatches int64
 	// AggNS is the time spent folding selected rows into partial
-	// aggregates, in nanoseconds, summed across workers.
+	// aggregates, in nanoseconds; multi-worker runs scale it to the
+	// wall time as described on FilterNS.
 	AggNS int64
 	// AggPushedQueries counts aggregate runs evaluated push-down style
 	// (no row materialization); AggPartialGroups is the number of
 	// partial groups those runs produced before any coordinator merge.
-	// Both are set once per RunAggregate* call, not per AFC.
+	// Both are set once per RunAggregateContext call, not per AFC.
 	AggPushedQueries int64
 	AggPartialGroups int64
 }
@@ -135,6 +139,21 @@ func (s *Stats) Add(o Stats) {
 	s.AggNS += o.AggNS
 	s.AggPushedQueries += o.AggPushedQueries
 	s.AggPartialGroups += o.AggPartialGroups
+}
+
+// fitWall scales the worker-summed FilterNS and AggNS of a
+// multi-worker run down to its wall time. Each worker's stage times
+// lie inside that worker's busy span, so when the spans overlap
+// (Σbusy > wall) the factor wall/Σbusy turns the sums into each
+// stage's share of the wall time: the shares never exceed it, and the
+// enclosing extract stage keeps a non-negative self time.
+func (s *Stats) fitWall(wall, busy time.Duration) {
+	if busy <= wall {
+		return
+	}
+	f := float64(wall) / float64(busy)
+	s.FilterNS = int64(float64(s.FilterNS) * f)
+	s.AggNS = int64(float64(s.AggNS) * f)
 }
 
 // EmitFunc receives the surviving rows of one extraction block (one
@@ -184,8 +203,9 @@ type Options struct {
 	ScalarFilter bool
 	// BlockBytes bounds the I/O buffer per segment (default 1 MiB).
 	BlockBytes int
-	// Workers sets the parallelism of RunParallel (default GOMAXPROCS
-	// capped at 8).
+	// Workers sets the parallelism of RunParallel and
+	// RunAggregateContext (default GOMAXPROCS capped at 8); 1 runs
+	// sequentially on the calling goroutine.
 	Workers int
 	// Source supplies byte readers for segment files — typically the
 	// node's shared block cache (*cache.Cache, see internal/cache), so
@@ -355,16 +375,11 @@ func RunParallel(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) 
 // Cancelling ctx stops the feeder and every worker between block reads;
 // all goroutines have exited by the time the call returns.
 func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(afcs) {
-		workers = len(afcs)
-	}
-	if workers <= 1 {
+	workers := workerCount(opt, len(afcs))
+	if workers == 1 {
 		return RunContext(ctx, afcs, resolver, opt, emit)
 	}
+	start := time.Now()
 
 	src, srcDone := runSource(opt)
 	defer srcDone()
@@ -385,14 +400,17 @@ func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, 
 		})
 	}
 	var wg sync.WaitGroup
+	var busyNS atomic.Int64 // Σ worker busy spans, read after the join
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			begin := time.Now()
 			bb := &blockBuf{}
 			pool := newSegPool(src, resolver)
 			defer pool.release()
+			defer func() { busyNS.Add(int64(time.Since(begin))) }()
 			for a := range work {
 				var b batch
 				collect := func(rows []table.Row) error {
@@ -451,21 +469,26 @@ func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, 
 			}
 		}
 	}
+	// results closes only after every worker has returned.
+	stats.fitWall(time.Since(start), time.Duration(busyNS.Load()))
 	if workerErr != nil {
 		return stats, workerErr
 	}
 	return stats, emitErr
 }
 
+// workerCount is the worker-pool size of a run over n AFCs:
+// opt.Workers, else defaultWorkers, capped at n and at least 1.
+func workerCount(opt Options, n int) int {
+	w := opt.Workers
+	if w <= 0 {
+		w = defaultWorkers()
+	}
+	return max(1, min(w, n))
+}
+
 func defaultWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return min(runtime.GOMAXPROCS(0), 8)
 }
 
 // colSource binds one output column to its value source within an AFC.
@@ -541,6 +564,7 @@ type blockBuf struct {
 	srcs  []colSource // bind scratch, reused across AFCs
 	prune []segPrune  // sparse-pruning scratch, reused across AFCs
 	files []fileSidecar
+	grid  []gridVerdict // per-run memo of gridMayMatch's sidecar verdicts
 
 	// Vectorized-filter state: the column-vector batch, the selection
 	// index vector, and the evaluator's scratch buffers — all reused
@@ -567,6 +591,17 @@ type pruneAttr struct {
 type fileSidecar struct {
 	node, file string
 	sc         *sparse.Sidecar
+}
+
+// gridVerdict memoizes one Sidecar.GridMayMatch answer. Within a run
+// the ranges are fixed, so the answer depends only on the sidecar and
+// on which of its constrained grid attributes (bit i = GridAttrs()[i])
+// the AFC's segments store from that file. A blockBuf lives for one
+// run, so the memo never outlives the ranges it was computed for.
+type gridVerdict struct {
+	sc    *sparse.Sidecar
+	mask  uint64
+	match bool
 }
 
 func (bb *blockBuf) shape(rows, cols, segs int) {
@@ -890,29 +925,50 @@ func (bb *blockBuf) setupPrune(a *afc.AFC, opt Options, stats *Stats) bool {
 // attribute values at common dimension coordinates too, so constraining
 // only the grid attributes this file's segments actually store in this
 // AFC can never prune a surviving row. It returns false when some grid
-// proves no row of the AFC can match.
+// proves no row of the AFC can match. Verdicts are memoized in bb.grid
+// (see gridVerdict), so each distinct (sidecar, stored-attribute set)
+// pair is evaluated once per run.
 func gridMayMatch(a *afc.AFC, ranges query.Ranges, bb *blockBuf) bool {
 	for i := range bb.files {
 		f := &bb.files[i]
 		if f.sc == nil || f.sc.Grid == nil {
 			continue
 		}
-		var reduced query.Ranges
-		for _, attr := range f.sc.GridAttrs() {
-			set := ranges.Get(attr)
-			if set.IsFull() || !fileStoresAttr(a, f.node, f.file, attr) {
-				continue
+		attrs := f.sc.GridAttrs()
+		var mask uint64
+		for ai, attr := range attrs {
+			if ai < 64 && !ranges.Get(attr).IsFull() && fileStoresAttr(a, f.node, f.file, attr) {
+				mask |= 1 << ai
 			}
-			if reduced == nil {
-				reduced = make(query.Ranges, 3)
-			}
-			reduced[attr] = set
 		}
-		if len(reduced) > 0 && !f.sc.GridMayMatch(reduced) {
+		if mask == 0 {
+			continue
+		}
+		if !bb.gridVerdict(f.sc, mask, attrs, ranges) {
 			return false
 		}
 	}
 	return true
+}
+
+// gridVerdict returns the memoized GridMayMatch answer for the sidecar
+// constrained on the grid attributes selected by mask, computing and
+// recording it on first use.
+func (bb *blockBuf) gridVerdict(sc *sparse.Sidecar, mask uint64, attrs []string, ranges query.Ranges) bool {
+	for _, v := range bb.grid {
+		if v.sc == sc && v.mask == mask {
+			return v.match
+		}
+	}
+	reduced := make(query.Ranges, len(attrs))
+	for ai, attr := range attrs {
+		if ai < 64 && mask&(1<<ai) != 0 {
+			reduced[attr] = ranges.Get(attr)
+		}
+	}
+	match := sc.GridMayMatch(reduced)
+	bb.grid = append(bb.grid, gridVerdict{sc: sc, mask: mask, match: match})
+	return match
 }
 
 func fileStoresAttr(a *afc.AFC, node, file, attr string) bool {

@@ -38,7 +38,7 @@ func spec() gen.IparsSpec {
 
 // setupIpars generates the dataset in the given layout and returns the
 // compiled plan plus the data root.
-func setupIpars(t *testing.T, s gen.IparsSpec, layoutID string) (*afc.Plan, string) {
+func setupIpars(t testing.TB, s gen.IparsSpec, layoutID string) (*afc.Plan, string) {
 	t.Helper()
 	root := t.TempDir()
 	descPath, err := gen.WriteIpars(root, s, layoutID)

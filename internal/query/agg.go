@@ -595,8 +595,10 @@ func compareKey(a, b schema.Value) int {
 //	  per aggregate (COUNT items encode nothing):
 //	    accInt:      8 bytes (int64)
 //	    accFloat:    8 bytes (Float64bits)
-//	    accExact:    1 flag byte (1 NaN | 2 +Inf | 4 -Inf),
-//	                 uint32 nterms, nterms × 8 bytes
+//	    accExact:    1 flag byte (1 NaN | 2 +Inf | 4 -Inf | 8 scaled),
+//	                 uint32 nterms, nterms × 8 bytes; with flag 8 also
+//	                 uint32 nscaled, nscaled × 8 bytes (the ExactSum
+//	                 expansion of large inputs, scaled by 2^-128)
 //
 // All integers are little-endian. Each chunk is independently mergeable;
 // a state encodes to one or more chunks of roughly targetBytes each.
@@ -644,7 +646,7 @@ func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 			case accFloat:
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(acc.f))
 			case accExact:
-				terms, nan, pos, neg := acc.x.Terms()
+				terms, scaled, nan, pos, neg := acc.x.Terms()
 				var flags byte
 				if nan {
 					flags |= 1
@@ -655,10 +657,13 @@ func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 				if neg {
 					flags |= 4
 				}
+				if len(scaled) > 0 {
+					flags |= 8
+				}
 				buf = append(buf, flags)
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(terms)))
-				for _, t := range terms {
-					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t))
+				buf = appendTerms(buf, terms)
+				if len(scaled) > 0 {
+					buf = appendTerms(buf, scaled)
 				}
 			}
 		}
@@ -756,19 +761,13 @@ func (s *AggState) MergeEncoded(data []byte) error {
 				if err != nil {
 					return err
 				}
-				nterms, err := rd.u32()
-				if err != nil {
+				if err := rd.terms(acc.x.AddTerm); err != nil {
 					return err
 				}
-				if int(nterms) > rd.remaining()/8 {
-					return &PartialError{fmt.Sprintf("term count %d overruns payload", nterms)}
-				}
-				for t := uint32(0); t < nterms; t++ {
-					bits, err := rd.u64()
-					if err != nil {
+				if flags&8 != 0 {
+					if err := rd.terms(acc.x.AddScaledTerm); err != nil {
 						return err
 					}
-					acc.x.AddTerm(math.Float64frombits(bits))
 				}
 				acc.x.setFlags(flags&1 != 0, flags&2 != 0, flags&4 != 0)
 			}
@@ -780,6 +779,35 @@ func (s *AggState) MergeEncoded(data []byte) error {
 	}
 	for _, dg := range groups {
 		s.mergeGroup(dg.key, dg.g)
+	}
+	return nil
+}
+
+// appendTerms encodes one expansion: a u32 count, then the terms.
+func appendTerms(buf []byte, terms []float64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(terms)))
+	for _, t := range terms {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t))
+	}
+	return buf
+}
+
+// terms decodes one expansion written by appendTerms, passing each
+// term to add.
+func (r *wireReader) terms(add func(float64)) error {
+	n, err := r.u32()
+	if err != nil {
+		return err
+	}
+	if int(n) > r.remaining()/8 {
+		return &PartialError{fmt.Sprintf("term count %d overruns payload", n)}
+	}
+	for t := uint32(0); t < n; t++ {
+		bits, err := r.u64()
+		if err != nil {
+			return err
+		}
+		add(math.Float64frombits(bits))
 	}
 	return nil
 }

@@ -147,8 +147,8 @@ func TestObserveBatchEmptySelection(t *testing.T) {
 }
 
 // TestExactSumAddSelMatchesAdd checks AddSel leaves exactly the
-// expansion and flags an Add loop does, including past a running-sum
-// overflow (where the result depends on order, so order must match).
+// expansions and flags an Add loop does, including for inputs large
+// enough to go to the scaled expansion.
 func TestExactSumAddSelMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	overflow := []float64{math.MaxFloat64, math.MaxFloat64 / 2, -math.MaxFloat64, math.MaxFloat64}
@@ -179,15 +179,20 @@ func TestExactSumAddSelMatchesAdd(t *testing.T) {
 			bySel.AddSel(col, rest[:k])
 			rest = rest[k:]
 		}
-		wt, wn, wp, wneg := byAdd.Terms()
-		gt, gn, gp, gneg := bySel.Terms()
-		if wn != gn || wp != gp || wneg != gneg || len(wt) != len(gt) {
-			t.Fatalf("trial %d: AddSel terms %v flags %v %v %v, Add terms %v flags %v %v %v",
-				trial, gt, gn, gp, gneg, wt, wn, wp, wneg)
+		wt, ws, wn, wp, wneg := byAdd.Terms()
+		gt, gs, gn, gp, gneg := bySel.Terms()
+		if wn != gn || wp != gp || wneg != gneg || len(wt) != len(gt) || len(ws) != len(gs) {
+			t.Fatalf("trial %d: AddSel terms %v/%v flags %v %v %v, Add terms %v/%v flags %v %v %v",
+				trial, gt, gs, gn, gp, gneg, wt, ws, wn, wp, wneg)
 		}
 		for i := range wt {
 			if math.Float64bits(wt[i]) != math.Float64bits(gt[i]) {
 				t.Fatalf("trial %d: term %d is %x, want %x", trial, i, math.Float64bits(gt[i]), math.Float64bits(wt[i]))
+			}
+		}
+		for i := range ws {
+			if math.Float64bits(ws[i]) != math.Float64bits(gs[i]) {
+				t.Fatalf("trial %d: scaled term %d is %x, want %x", trial, i, math.Float64bits(gs[i]), math.Float64bits(ws[i]))
 			}
 		}
 	}

@@ -54,11 +54,12 @@ func aggTestPlanSQL(t testing.TB, sql string) *AggPlan {
 	return plan
 }
 
-// tricky are adversarial SUM inputs, short of the running-sum overflow
-// regime where ExactSum deliberately saturates (order-dependently).
+// tricky are adversarial SUM inputs, including magnitudes whose plain
+// running sums overflow in some orders (ExactSum stays exact there).
 var tricky = []float64{
 	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
 	1e300, -1e300, 1e-300, math.SmallestNonzeroFloat64, 1e16, -1e16,
+	math.MaxFloat64, -math.MaxFloat64,
 }
 
 // randAggRows generates rows with few distinct keys (to force group

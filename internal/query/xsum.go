@@ -17,12 +17,31 @@ import (
 // Non-finite inputs cannot participate in an expansion; they are folded
 // into commutative flags with IEEE semantics (+Inf + -Inf = NaN), so the
 // result is still independent of accumulation order.
+//
+// Finite inputs of magnitude at least 2^hiMinExp go to a second
+// expansion, hi, scaled exactly by 2^-hiShift. Neither expansion's
+// running sum can then leave the float64 range (that would take 2^64
+// inputs), so the sum stays exact even where a plain running sum would
+// overflow part-way: {MaxFloat64, MaxFloat64, -MaxFloat64} sums to
+// MaxFloat64 in every order and partition, and only the final rounding
+// turns a sum beyond the float64 range into ±Inf.
 type ExactSum struct {
 	terms []float64 // nonoverlapping expansion, increasing magnitude
+	hi    []float64 // expansion of the large inputs, scaled by 2^-hiShift
 	neg   bool      // saw -Inf
 	pos   bool      // saw +Inf
 	nan   bool      // saw NaN
 }
+
+// hiMinExp and hiShift split inputs between the two expansions: every
+// input to terms is below 2^hiMinExp, and inputs from 2^hiMinExp up are
+// scaled by 2^-hiShift, exactly (they stay normal), into hi.
+const (
+	hiMinExp = 960
+	hiShift  = 128
+)
+
+var hiMin = math.Ldexp(1, hiMinExp)
 
 // twoSum returns s = fl(a+b) and the exact rounding error e with
 // a + b = s + e (Knuth's branch-free error-free transformation).
@@ -49,11 +68,30 @@ func (x *ExactSum) Add(v float64) {
 		x.neg = true
 		return
 	}
-	// Grow-expansion: carry v through the existing terms, keeping only
-	// nonzero rounding errors (zero elimination keeps the slice short).
+	if math.Abs(v) >= hiMin {
+		x.hi = x.grow(x.hi, math.Ldexp(v, -hiShift))
+		return
+	}
+	x.terms = x.grow(x.terms, v)
+}
+
+// AddScaledTerm folds one wire term of the scaled expansion back in;
+// t may be non-finite.
+func (x *ExactSum) AddScaledTerm(t float64) {
+	if t-t != 0 {
+		x.Add(t) // NaN and ±Inf scale to themselves
+		return
+	}
+	x.hi = x.grow(x.hi, t)
+}
+
+// grow carries finite v through the expansion e (Shewchuk's
+// grow-expansion), keeping only nonzero rounding errors (zero
+// elimination keeps the slice short), and returns the new expansion.
+func (x *ExactSum) grow(e []float64, v float64) []float64 {
 	q := v
-	out := x.terms[:0]
-	for _, t := range x.terms {
+	out := e[:0]
+	for _, t := range e {
 		var err float64
 		q, err = twoSum(q, t)
 		if err != 0 {
@@ -61,20 +99,17 @@ func (x *ExactSum) Add(v float64) {
 		}
 	}
 	if math.IsInf(q, 0) {
-		// The running sum overflowed float64 (the rounding errors
-		// recorded past that point are garbage). Saturate the way IEEE
-		// accumulation would: the sum is ±Inf from here on. Exactness —
-		// and with it partition-independence — holds only while every
-		// running sum stays in range.
+		// Out of range: only reachable with 2^64 inputs or crafted wire
+		// terms. The rounding errors recorded past that point are
+		// garbage, so saturate the way IEEE accumulation would.
 		x.pos = x.pos || q > 0
 		x.neg = x.neg || q < 0
-		x.terms = x.terms[:0]
-		return
+		return e[:0]
 	}
 	if q != 0 || len(out) == 0 {
 		out = append(out, q)
 	}
-	x.terms = out
+	return out
 }
 
 // AddSel folds col[r] for every r in sel, in sel order, leaving x in
@@ -86,7 +121,7 @@ func (x *ExactSum) AddSel(col []float64, sel []int32) {
 	terms := x.terms
 	for _, r := range sel {
 		v := col[r]
-		if len(terms) == 1 {
+		if len(terms) == 1 && math.Abs(v) < hiMin {
 			// An exact, finite step; a NaN or ±Inf v, a rounding error
 			// or an overflow fails the test and goes through Add.
 			if s, e := twoSum(v, terms[0]); e == 0 && s-s == 0 {
@@ -108,15 +143,20 @@ func (x *ExactSum) Merge(y *ExactSum) {
 	for _, t := range y.terms {
 		x.Add(t)
 	}
+	for _, t := range y.hi {
+		x.AddScaledTerm(t)
+	}
 	x.nan = x.nan || y.nan
 	x.pos = x.pos || y.pos
 	x.neg = x.neg || y.neg
 }
 
-// Terms returns the expansion terms plus the non-finite flags for wire
-// encoding; AddTerm-ing them into a fresh ExactSum reproduces the state.
-func (x *ExactSum) Terms() (terms []float64, nan, pos, neg bool) {
-	return x.terms, x.nan, x.pos, x.neg
+// Terms returns both expansions (scaled holds the large inputs' terms,
+// scaled by 2^-hiShift) plus the non-finite flags for wire encoding;
+// AddTerm-ing terms and AddScaledTerm-ing scaled into a fresh ExactSum
+// reproduces the sum.
+func (x *ExactSum) Terms() (terms, scaled []float64, nan, pos, neg bool) {
+	return x.terms, x.hi, x.nan, x.pos, x.neg
 }
 
 // AddTerm folds one wire term back in; t may be non-finite.
@@ -130,8 +170,9 @@ func (x *ExactSum) setFlags(nan, pos, neg bool) {
 }
 
 // valuePrec is the big.Float precision used to round an expansion to its
-// final float64. Any sum of float64 terms spans at most ~2100 bits of
-// significand (exponent range 2^-1074 .. 2^1024 plus carry growth), so
+// final float64. Any sum of float64 terms spans at most ~2170 bits of
+// significand (exponent range 2^-1074 .. 2^1024 plus carry growth of up
+// to 64 bits for 2^64 inputs), so
 // 2200 bits makes the big.Float arithmetic exact and the single final
 // rounding correct — and therefore identical for every decomposition of
 // the same mathematical sum.
@@ -147,14 +188,20 @@ func (x *ExactSum) Value() float64 {
 	case x.neg:
 		return math.Inf(-1)
 	}
-	if len(x.terms) == 0 {
-		return 0
-	}
-	if len(x.terms) == 1 {
-		return x.terms[0]
+	if len(x.hi) == 0 {
+		if len(x.terms) == 0 {
+			return 0
+		}
+		if len(x.terms) == 1 {
+			return x.terms[0]
+		}
 	}
 	acc := new(big.Float).SetPrec(valuePrec)
 	t := new(big.Float).SetPrec(valuePrec)
+	for _, v := range x.hi {
+		acc.Add(acc, t.SetFloat64(v))
+	}
+	acc.SetMantExp(acc, hiShift)
 	for _, v := range x.terms {
 		acc.Add(acc, t.SetFloat64(v))
 	}

@@ -71,15 +71,67 @@ func TestExactSumPartitionIndependence(t *testing.T) {
 		}
 
 		// Wire round-trip: Terms → AddTerm/setFlags reproduces the state.
-		var rt ExactSum
-		ts, nan, pos, neg := merged.Terms()
-		for _, v := range ts {
-			rt.AddTerm(v)
-		}
-		rt.setFlags(nan, pos, neg)
-		if a, b := merged.Value(), rt.Value(); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := merged.Value(), roundTrip(&merged).Value(); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("trial %d: round-trip %g != %g", trial, b, a)
 		}
+	}
+}
+
+// roundTrip rebuilds x from its wire form: Terms → AddTerm,
+// AddScaledTerm and setFlags.
+func roundTrip(x *ExactSum) *ExactSum {
+	var rt ExactSum
+	ts, scaled, nan, pos, neg := x.Terms()
+	for _, v := range ts {
+		rt.AddTerm(v)
+	}
+	for _, v := range scaled {
+		rt.AddScaledTerm(v)
+	}
+	rt.setFlags(nan, pos, neg)
+	return &rt
+}
+
+// TestExactSumOverflowOrderIndependent sums inputs near the top of the
+// float64 range, whose plain running sums overflow part-way in some
+// orders but not others. Every order, partition and wire round-trip
+// must round the one exact sum: the big.Float oracle's value.
+func TestExactSumOverflowOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	huge := []float64{math.MaxFloat64, -math.MaxFloat64, 1e308, -1e308, math.Ldexp(1, 960),
+		-math.Ldexp(1, 960), math.Nextafter(math.Ldexp(1, 960), 0), 3, -0.5, 1e-300}
+	for trial := 0; trial < 300; trial++ {
+		terms := make([]float64, 1+rng.Intn(40))
+		for i := range terms {
+			terms[i] = huge[rng.Intn(len(huge))]
+			if rng.Intn(4) == 0 {
+				terms[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(600)-300))
+			}
+		}
+		want := bigSum(terms)
+		for order := 0; order < 4; order++ {
+			rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+			parts := make([]ExactSum, 1+rng.Intn(4))
+			for _, v := range terms {
+				parts[rng.Intn(len(parts))].Add(v)
+			}
+			var merged ExactSum
+			for i := range parts {
+				merged.Merge(roundTrip(&parts[i]))
+			}
+			if got := merged.Value(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d order %d: %g, want %g (terms %v)", trial, order, got, want, terms)
+			}
+		}
+	}
+	// The documented case: a plain running sum overflows at the second
+	// term, the exact sum does not.
+	var x ExactSum
+	for _, v := range []float64{math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64} {
+		x.Add(v)
+	}
+	if v := x.Value(); v != math.MaxFloat64 {
+		t.Errorf("MaxFloat64 + MaxFloat64 - MaxFloat64 = %g, want MaxFloat64", v)
 	}
 }
 
@@ -106,7 +158,7 @@ func TestExactSumNonFinite(t *testing.T) {
 	if v := add(); v != 0 {
 		t.Errorf("empty sum = %g, want 0", v)
 	}
-	// Running-sum overflow saturates like IEEE accumulation.
+	// A sum beyond the float64 range rounds to ±Inf.
 	if v := add(math.MaxFloat64, math.MaxFloat64); !math.IsInf(v, 1) {
 		t.Errorf("overflowing sum = %g, want +Inf", v)
 	}
